@@ -2,20 +2,22 @@
 //! thread-per-connection, reported as `BENCH_conn.json`.
 //!
 //! For each client count the harness binds a fresh 4-shard engine
-//! behind one of the two frontends, dials that many real localhost
-//! sockets with the multiplexed `Swarm` load generator, and drives a
-//! pipelined GET/SET mix for a fixed wall-clock window. The reactor
-//! frontend is swept up to 8192 concurrent clients; the legacy
-//! thread-per-connection frontend is swept up to 1024 (its practical
-//! ceiling — a thread and two fds per client). Aggregate ops/s and
-//! sampled p50/p99/p999 latency per point are the evidence.
+//! behind one of two servers, dials that many real localhost sockets
+//! with the multiplexed `Swarm` load generator, and drives a pipelined
+//! GET/SET mix for a fixed wall-clock window. The library's reactor
+//! frontend is swept up to 8192 concurrent clients; the baseline, a
+//! minimal blocking thread-per-connection server private to this bench
+//! (`threads` below), is swept up to 1024 (its practical ceiling — a
+//! thread and two fds per client). Aggregate ops/s and sampled
+//! p50/p99/p999 latency per point are the evidence.
 //!
 //! Run: `cargo run --release -p softmem-bench --bin conn_scaling`
 //! Options: `--quick` (CI preset: caps the sweep at 1024 clients,
 //! shorter windows), `--check` (exit non-zero unless the reactor
 //! sustained every point without an I/O error or server-side close
-//! AND beat the thread frontend's aggregate ops/s at 1024 clients by
-//! the gate ratio), `--out PATH` (default `BENCH_conn.json`).
+//! AND beat the thread-per-connection baseline's aggregate ops/s at
+//! 1024 clients by the gate ratio), `--out PATH` (default
+//! `BENCH_conn.json`).
 
 #[cfg(not(target_os = "linux"))]
 fn main() {
@@ -33,9 +35,7 @@ mod linux {
     use std::time::Duration;
 
     use softmem_core::{Priority, Sma};
-    use softmem_kv::{
-        KvServer, ReactorConfig, ReactorFrontend, RunOpts, ShardedStore, Swarm, TcpFrontend,
-    };
+    use softmem_kv::{ReactorConfig, ReactorFrontend, RunOpts, ShardedStore, Swarm};
 
     /// Engine shards behind every configuration.
     const SHARDS: usize = 4;
@@ -46,7 +46,7 @@ mod linux {
     /// Value bytes per SET.
     const VALUE_LEN: usize = 64;
     /// The CI gate: reactor aggregate ops/s must beat the thread
-    /// frontend by this factor at [`GATE_CLIENTS`] clients.
+    /// baseline by this factor at [`GATE_CLIENTS`] clients.
     const GATE_RATIO: f64 = 1.5;
     const GATE_CLIENTS: usize = 1024;
 
@@ -166,12 +166,8 @@ mod linux {
 
     fn threads_point(clients: usize, window: Duration) -> Point {
         let sma = Sma::standalone(2048);
-        let server = KvServer::start_sharded(engine(&sma));
-        let fe = TcpFrontend::bind(server.handle()).expect("bind thread frontend");
-        let p = drive("threads", fe.addr(), clients, window);
-        drop(fe);
-        server.shutdown();
-        p
+        let server = threads::ThreadServer::bind(Arc::new(engine(&sma))).expect("bind threads");
+        drive("threads", server.addr(), clients, window)
     }
 
     pub fn run() {
@@ -273,10 +269,171 @@ mod linux {
         if check && !gate_passed {
             eprintln!(
                 "FAIL: connection-scaling gate — reactor must sweep error-free and \
-                 beat the thread frontend by {GATE_RATIO}x at {GATE_CLIENTS} clients \
+                 beat the thread baseline by {GATE_RATIO}x at {GATE_CLIENTS} clients \
                  (see {out})"
             );
             std::process::exit(1);
+        }
+    }
+
+    /// The baseline the reactor is gated against: a minimal blocking
+    /// thread-per-connection server. Each connection gets one OS thread
+    /// that reads lines with `BufRead::read_line`, hops every keyed
+    /// request to its shard's worker thread over a channel, waits on a
+    /// one-slot reply channel, and writes the reply with one
+    /// `encode_into` + write. Keyless verbs run inline on the
+    /// connection thread (the swarm sends only GET/SET).
+    mod threads {
+        use std::io::{self, BufRead, BufReader, Write};
+        use std::net::{SocketAddr, TcpListener, TcpStream};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        use std::thread::JoinHandle;
+
+        use crossbeam::channel::{bounded, unbounded, Sender};
+        use softmem_kv::protocol::routing_key_of;
+        use softmem_kv::{CommandRef, Response, ShardedStore};
+
+        enum Job {
+            /// A request line and the one-slot channel for its reply.
+            Exec(String, Sender<Response>),
+            Stop,
+        }
+
+        struct Shared {
+            engine: Arc<ShardedStore>,
+            shards: Vec<Sender<Job>>,
+            stop: AtomicBool,
+        }
+
+        /// Dropping the server joins every thread it started. A
+        /// connection thread ends when its client hangs up, so drop the
+        /// clients first (`drive` drops its swarm before returning).
+        pub struct ThreadServer {
+            addr: SocketAddr,
+            shared: Arc<Shared>,
+            accept: Option<JoinHandle<()>>,
+            workers: Vec<JoinHandle<()>>,
+        }
+
+        impl ThreadServer {
+            pub fn bind(engine: Arc<ShardedStore>) -> io::Result<Self> {
+                let listener = TcpListener::bind("127.0.0.1:0")?;
+                let addr = listener.local_addr()?;
+                let mut shards = Vec::new();
+                let mut workers = Vec::new();
+                for shard in 0..engine.shard_count() {
+                    let (tx, rx) = unbounded::<Job>();
+                    let engine = Arc::clone(&engine);
+                    workers.push(std::thread::spawn(move || {
+                        while let Ok(Job::Exec(line, reply)) = rx.recv() {
+                            let _ = reply.send(match CommandRef::parse(&line) {
+                                Ok(cmd) => engine.execute_at(shard, &cmd),
+                                Err(msg) => Response::Error(msg),
+                            });
+                        }
+                    }));
+                    shards.push(tx);
+                }
+                let shared = Arc::new(Shared {
+                    engine,
+                    shards,
+                    stop: AtomicBool::new(false),
+                });
+                let accept_shared = Arc::clone(&shared);
+                let accept = std::thread::spawn(move || {
+                    let mut conns = Vec::new();
+                    for stream in listener.incoming() {
+                        if accept_shared.stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        let Ok(stream) = stream else { break };
+                        let shared = Arc::clone(&accept_shared);
+                        conns.extend(
+                            std::thread::Builder::new()
+                                .spawn(move || serve(stream, &shared))
+                                .ok(),
+                        );
+                    }
+                    for t in conns {
+                        let _ = t.join();
+                    }
+                });
+                Ok(ThreadServer {
+                    addr,
+                    shared,
+                    accept: Some(accept),
+                    workers,
+                })
+            }
+
+            pub fn addr(&self) -> SocketAddr {
+                self.addr
+            }
+        }
+
+        fn serve(stream: TcpStream, shared: &Shared) {
+            let _ = stream.set_nodelay(true);
+            let Ok(mut writer) = stream.try_clone() else {
+                return;
+            };
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            let mut out = Vec::new();
+            loop {
+                line.clear();
+                // EOF, an error, or a truncated final line ends the
+                // connection; a half frame is never executed.
+                match reader.read_line(&mut line) {
+                    Ok(_) if line.ends_with('\n') => {}
+                    _ => return,
+                }
+                let frame = line.trim_end_matches(['\r', '\n']);
+                if frame.is_empty() {
+                    continue;
+                }
+                let reply = match routing_key_of(frame.as_bytes()) {
+                    Some(key) => {
+                        let shard = shared.engine.shard_of(key);
+                        let (tx, rx) = bounded(1);
+                        let job = Job::Exec(std::mem::take(&mut line), tx);
+                        if shared.shards[shard].send(job).is_err() {
+                            return;
+                        }
+                        match rx.recv() {
+                            Ok(reply) => reply,
+                            Err(_) => return,
+                        }
+                    }
+                    None => match CommandRef::parse(frame) {
+                        Ok(cmd) => shared.engine.execute_at(0, &cmd),
+                        Err(msg) => Response::Error(msg),
+                    },
+                };
+                out.clear();
+                reply.encode_into(&mut out);
+                if writer.write_all(&out).is_err() {
+                    return;
+                }
+            }
+        }
+
+        impl Drop for ThreadServer {
+            fn drop(&mut self) {
+                // Wake the accept loop; it sees the flag and joins its
+                // connection threads.
+                self.shared.stop.store(true, Ordering::Release);
+                drop(TcpStream::connect(self.addr));
+                if let Some(t) = self.accept.take() {
+                    let _ = t.join();
+                }
+                for tx in &self.shared.shards {
+                    let _ = tx.send(Job::Stop);
+                }
+                for w in self.workers.drain(..) {
+                    let _ = w.join();
+                }
+            }
         }
     }
 }

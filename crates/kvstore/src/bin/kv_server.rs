@@ -6,16 +6,16 @@
 //! `--shards N` splits the keyspace over N independent engine threads
 //! (one SDS and one worker each), the shard-per-core deployment shape.
 //!
-//! Two network frontends (DESIGN.md §network-plane):
+//! The network frontend is the event-driven plane (DESIGN.md
+//! §network-plane): a small pool of epoll reactors multiplexes every
+//! client socket, frames and hash-routes requests to per-shard SPSC
+//! rings, and shard workers execute them in batches. It scales to
+//! thousands of idle or slow connections without a thread each.
+//! `--reactors N` sizes the pool (0 = auto). The server needs Linux
+//! epoll; elsewhere it exits with status 2.
 //!
-//! * `--frontend reactor` (default on Linux) — the event-driven plane:
-//!   a small pool of epoll reactors multiplexes every client socket,
-//!   frames and hash-routes requests to per-shard SPSC rings, and shard
-//!   workers execute them in batches. Scales to thousands of idle or
-//!   slow connections without a thread each. `--reactors N` sizes the
-//!   pool (0 = auto).
-//! * `--frontend threads` — the legacy thread-per-connection loop,
-//!   kept as a baseline and for non-Linux builds.
+//! Unknown options and values that do not parse are rejected with a
+//! usage line and exit status 2.
 //!
 //! ```sh
 //! cargo run --release -p softmem-kv --bin kv_server -- --budget-mib 64 --shards 4
@@ -23,113 +23,134 @@
 //! cargo run --release -p softmem-kv --bin kv_cli -- 127.0.0.1:<port>
 //! ```
 
-use std::sync::Arc;
+use std::str::FromStr;
 
-use softmem_core::{bytes_to_pages, Priority, Sma, SmaConfig};
-use softmem_daemon::uds::UdsProcess;
-use softmem_kv::ShardedStore;
+const USAGE: &str = "usage: kv_server [--budget-mib N] [--shards N] [--listen ADDR] \
+     [--reactors N] [--idle-timeout-ms MS] [--write-stall-timeout-ms MS] \
+     [--shed-inflight N] [--accept-pause-inflight N] [--smd-socket PATH]";
+
+/// Parsed command line. The fault-plane knobs (deadlines and overload
+/// admission control) are all off by default.
+struct Opts {
+    budget_bytes: usize,
+    shards: usize,
+    listen: String,
+    reactors: usize,
+    idle_timeout_ms: Option<u64>,
+    write_stall_timeout_ms: Option<u64>,
+    shed_inflight: Option<u64>,
+    accept_pause_inflight: Option<u64>,
+    smd_socket: Option<String>,
+}
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
+    fn num<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+    }
+    let mut opts = Opts {
+        budget_bytes: 64 << 20,
+        shards: 1,
+        listen: "127.0.0.1:0".to_string(),
+        reactors: 0,
+        idle_timeout_ms: None,
+        write_stall_timeout_ms: None,
+        shed_inflight: None,
+        accept_pause_inflight: None,
+        smd_socket: None,
+    };
+    while let Some(flag) = args.next() {
+        let value = args
+            .next()
+            .ok_or_else(|| format!("{flag}: missing value"))?;
+        match flag.as_str() {
+            "--budget-mib" => {
+                opts.budget_bytes = num::<usize>(&flag, &value)?
+                    .checked_mul(1 << 20)
+                    .ok_or_else(|| format!("{flag}: {value} MiB is out of range"))?
+            }
+            "--shards" => opts.shards = num::<usize>(&flag, &value)?.max(1),
+            "--listen" => opts.listen = value,
+            "--reactors" => opts.reactors = num(&flag, &value)?,
+            "--idle-timeout-ms" => opts.idle_timeout_ms = Some(num(&flag, &value)?),
+            "--write-stall-timeout-ms" => opts.write_stall_timeout_ms = Some(num(&flag, &value)?),
+            "--shed-inflight" => opts.shed_inflight = Some(num(&flag, &value)?),
+            "--accept-pause-inflight" => opts.accept_pause_inflight = Some(num(&flag, &value)?),
+            "--smd-socket" => opts.smd_socket = Some(value),
+            _ => return Err(format!("unknown option {flag:?}")),
+        }
+    }
+    Ok(opts)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let arg = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let budget_mib: usize = arg("--budget-mib")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let shards: usize = arg("--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    let addr = arg("--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let frontend = arg("--frontend").unwrap_or_else(|| {
-        if cfg!(target_os = "linux") {
-            "reactor".to_string()
-        } else {
-            "threads".to_string()
+    match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => serve(opts),
+        Err(msg) => {
+            eprintln!("kv_server: {msg} ({USAGE})");
+            std::process::exit(2);
         }
-    });
-    let reactors: usize = arg("--reactors").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let net = NetOpts {
-        idle_timeout_ms: arg("--idle-timeout-ms").and_then(|v| v.parse().ok()),
-        write_stall_timeout_ms: arg("--write-stall-timeout-ms").and_then(|v| v.parse().ok()),
-        shed_inflight: arg("--shed-inflight").and_then(|v| v.parse().ok()),
-        accept_pause_inflight: arg("--accept-pause-inflight").and_then(|v| v.parse().ok()),
-    };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn serve(_opts: Opts) {
+    eprintln!("kv_server: the server needs Linux epoll");
+    std::process::exit(2);
+}
+
+#[cfg(target_os = "linux")]
+fn fail(msg: String) -> ! {
+    eprintln!("kv_server: {msg}");
+    std::process::exit(1);
+}
+
+#[cfg(target_os = "linux")]
+fn serve(opts: Opts) {
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use softmem_core::{bytes_to_pages, Priority, Sma, SmaConfig};
+    use softmem_daemon::uds::UdsProcess;
+    use softmem_kv::{ReactorConfig, ReactorFrontend, ShardedStore};
 
     // Two modes: a fixed standalone budget, or membership of a
     // machine-wide daemon (multiple kv_server processes then share
     // soft memory, reclaiming from each other under pressure).
-    let (_daemon_membership, sma) = match arg("--smd-socket") {
+    let (_daemon_membership, sma) = match &opts.smd_socket {
         Some(socket) => {
-            let proc = UdsProcess::connect(&socket, "kv-server", SmaConfig::for_testing(0))
-                .expect("connect to the soft memory daemon");
+            let proc = UdsProcess::connect(socket, "kv-server", SmaConfig::for_testing(0))
+                .unwrap_or_else(|e| fail(format!("cannot join the daemon at {socket}: {e}")));
             println!("joined soft memory daemon at {socket}");
             let sma = Arc::clone(proc.sma());
             (Some(proc), sma)
         }
         None => (
             None,
-            Sma::with_config(SmaConfig::for_testing(bytes_to_pages(
-                budget_mib * 1024 * 1024,
-            ))),
+            Sma::with_config(SmaConfig::for_testing(bytes_to_pages(opts.budget_bytes))),
         ),
     };
-    let engine = ShardedStore::new(&sma, "keyspace", Priority::new(4), shards);
-
-    match frontend.as_str() {
-        "reactor" => run_reactor(&addr, engine, reactors, budget_mib, shards, net),
-        "threads" => run_threads(&addr, engine, budget_mib, shards, net),
-        other => {
-            eprintln!("unknown --frontend {other:?} (expected 'reactor' or 'threads')");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Fault-plane knobs shared by both frontends (all off by default):
-/// connection deadlines and overload admission control.
-#[derive(Clone, Copy, Default)]
-struct NetOpts {
-    idle_timeout_ms: Option<u64>,
-    write_stall_timeout_ms: Option<u64>,
-    shed_inflight: Option<u64>,
-    accept_pause_inflight: Option<u64>,
-}
-
-fn banner(local: std::net::SocketAddr, frontend: &str, budget_mib: usize, shards: usize) {
-    println!(
-        "softmem-kv listening on {local} ({frontend} frontend, soft budget {budget_mib} MiB, {shards} shard{})",
-        if shards == 1 { "" } else { "s" }
-    );
-    println!("commands: GET SET DEL EXISTS DBSIZE KEYS MGET INCR INCRBY APPEND PEXPIRE PTTL PERSIST INFO STATS SHED FLUSHALL SHUTDOWN");
-}
-
-#[cfg(target_os = "linux")]
-fn run_reactor(
-    addr: &str,
-    engine: ShardedStore,
-    reactors: usize,
-    budget_mib: usize,
-    shards: usize,
-    net: NetOpts,
-) {
-    use softmem_kv::{ReactorConfig, ReactorFrontend};
-    use std::time::Duration;
+    let engine = ShardedStore::new(&sma, "keyspace", Priority::new(4), opts.shards);
 
     let cfg = ReactorConfig {
-        reactors,
-        idle_timeout: net.idle_timeout_ms.map(Duration::from_millis),
-        write_stall_timeout: net.write_stall_timeout_ms.map(Duration::from_millis),
-        overload_shed_inflight: net.shed_inflight,
-        overload_accept_inflight: net.accept_pause_inflight,
+        reactors: opts.reactors,
+        idle_timeout: opts.idle_timeout_ms.map(Duration::from_millis),
+        write_stall_timeout: opts.write_stall_timeout_ms.map(Duration::from_millis),
+        overload_shed_inflight: opts.shed_inflight,
+        overload_accept_inflight: opts.accept_pause_inflight,
         ..ReactorConfig::default()
     };
-    let frontend = ReactorFrontend::bind(addr, Arc::new(engine), cfg).expect("bind listen address");
-    banner(frontend.addr(), "reactor", budget_mib, shards);
+    let frontend = ReactorFrontend::bind(&opts.listen, Arc::new(engine), cfg)
+        .unwrap_or_else(|e| fail(format!("cannot listen on {}: {e}", opts.listen)));
+    println!(
+        "softmem-kv listening on {} (reactor frontend, soft budget {} MiB, {} shard{})",
+        frontend.addr(),
+        opts.budget_bytes >> 20,
+        opts.shards,
+        if opts.shards == 1 { "" } else { "s" }
+    );
+    println!("commands: GET SET DEL EXISTS DBSIZE KEYS MGET INCR INCRBY APPEND PEXPIRE PTTL PERSIST INFO STATS SHED FLUSHALL SHUTDOWN");
 
     // The reactors and shard workers do all the work; the main thread
     // just waits for a client to issue SHUTDOWN.
@@ -138,41 +159,7 @@ fn run_reactor(
         .shutdown_requested
         .load(std::sync::atomic::Ordering::Acquire)
     {
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(50));
     }
     drop(frontend); // flush + join reactors and workers before exiting
-}
-
-#[cfg(not(target_os = "linux"))]
-fn run_reactor(
-    addr: &str,
-    engine: ShardedStore,
-    _reactors: usize,
-    budget_mib: usize,
-    shards: usize,
-    net: NetOpts,
-) {
-    eprintln!("reactor frontend requires Linux epoll; falling back to threads");
-    run_threads(addr, engine, budget_mib, shards, net);
-}
-
-fn run_threads(addr: &str, engine: ShardedStore, budget_mib: usize, shards: usize, net: NetOpts) {
-    use softmem_kv::{FrontendOpts, KvServer, TcpFrontend};
-    use std::time::Duration;
-
-    let server = KvServer::start_sharded(engine);
-    let handle = server.handle();
-    let opts = FrontendOpts {
-        idle_timeout: net.idle_timeout_ms.map(Duration::from_millis),
-        ..FrontendOpts::default()
-    };
-    let frontend = TcpFrontend::bind_with(addr, handle.clone(), opts).expect("bind listen address");
-    banner(frontend.addr(), "threads", budget_mib, shards);
-
-    // The frontend's accept loop and connection threads do the work;
-    // the main thread just waits for SHUTDOWN to stop the engine.
-    while handle.request("PING").is_ok() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    drop(frontend); // hang up on in-flight connections and join them
 }

@@ -11,11 +11,15 @@
 //!   heap and are released when an entry is reclaimed. A reclaimed key
 //!   simply reads as *not found*, and "in a caching setup, the client
 //!   would re-fetch these entries from a database".
+//! * [`ShardedStore`] — N stores behind one keyspace: single-key
+//!   commands hash-route to their shard, cross-shard ones merge in
+//!   [`ShardedStore::execute_at`].
 //! * [`protocol`] — a line-oriented command protocol (`SET`/`GET`/…)
 //!   with Redis-flavoured replies.
-//! * [`server`] — an in-process server (command channel + worker
-//!   thread, mirroring Redis's single-threaded event loop) and a TCP
-//!   front-end over the same engine.
+//! * `reactor` (Linux) — the network frontend: epoll reactors frame
+//!   and route requests to one worker thread per shard, so each shard
+//!   keeps Redis's single-threaded execution. [`TcpKvClient`] is its
+//!   blocking client.
 //! * [`crash`] — the no-soft-memory baseline: a store that is killed
 //!   under memory pressure and restarts cold (≥ 12 ms downtime plus a
 //!   refill period of elevated misses, §5).
@@ -38,24 +42,24 @@
 //! assert_eq!(store.get(b"user:1"), None);
 //! ```
 
+mod client;
 pub mod crash;
 mod metrics;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 pub mod reactor;
-pub mod server;
 mod sharded;
 mod store;
 #[cfg(target_os = "linux")]
 pub mod swarm;
 
+pub use client::TcpKvClient;
 pub use metrics::StoreMetrics;
-pub use protocol::{Command, CommandRef, Response};
+pub use protocol::{CommandRef, Response};
 #[cfg(target_os = "linux")]
 pub use reactor::{
     NetMetrics, NetStats, ReactorConfig, ReactorFrontend, RealSysIo, SysIo, WorkerHook,
 };
-pub use server::{FrontendOpts, KvHandle, KvServer, TcpFrontend, TcpKvClient};
 pub use sharded::ShardedStore;
 pub use store::{ReclaimCostModel, Store, StoreStats, Ttl};
 #[cfg(target_os = "linux")]

@@ -1,13 +1,13 @@
 //! The event-driven network plane: epoll reactors + batched shard
 //! execution.
 //!
-//! The thread-per-connection front-end ([`crate::TcpFrontend`]) burns
-//! one OS thread per client, which caps the server at hundreds of
-//! connections and puts request parsing on the connection thread —
-//! the layer BENCH_shard.json fingered for the shard plateau. This
-//! module replaces it with a small pool of **reactor** threads
-//! multiplexing every client socket through `epoll`, and moves parsing
-//! onto the **shard workers** so the event loop only does I/O:
+//! This is the server's one network frontend. A thread per connection
+//! would cap the server at hundreds of connections and put request
+//! parsing on the connection thread (the `conn_scaling` bench keeps
+//! such a server as its baseline). Instead a small pool of **reactor**
+//! threads multiplexes every client socket through `epoll`, and
+//! parsing runs on the **shard workers** so the event loop only does
+//! I/O:
 //!
 //! ```text
 //!             ┌────────────────────────── reactor 0 ──┐
@@ -1372,8 +1372,7 @@ impl Reactor {
                 break;
             };
             if frame.is_empty() {
-                // Blank line: skipped without a reply, matching the
-                // thread frontend.
+                // Blank line: skipped without a reply.
                 conn.read_pos += used;
                 continue;
             }
@@ -2105,7 +2104,8 @@ impl Drop for ReactorFrontend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::TcpKvClient;
+    use crate::store::Store;
+    use crate::TcpKvClient;
     use softmem_core::{Priority, Sma};
 
     fn frontend(shards: usize) -> (Arc<Sma>, ReactorFrontend) {
@@ -2232,6 +2232,109 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(stats.open_conns.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn reactor_drop_hangs_up_on_idle_clients() {
+        let (_sma, fe) = frontend(2);
+        let mut client = TcpKvClient::connect(fe.addr()).unwrap();
+        assert_eq!(client.request("PING").unwrap(), Response::Ok("PONG".into()));
+        // Dropping the frontend must complete even though a client is
+        // parked waiting for a next request, and must hang up on it.
+        drop(fe);
+        assert!(client.request("PING").is_err());
+    }
+
+    #[test]
+    fn binary_values_come_back_byte_exact() {
+        let (_sma, fe) = frontend(4);
+        fe.engine().set(b"bin", &[0xff, 0xfe, b'a']).unwrap();
+        let mut stream = TcpStream::connect(fe.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(b"GET bin\n").unwrap();
+        let mut reply = Vec::new();
+        let mut byte = [0u8; 1];
+        while reply.last() != Some(&b'\n') {
+            let n = stream.read(&mut byte).expect("reply stalled");
+            assert_eq!(n, 1, "server closed mid-reply: {reply:?}");
+            reply.push(byte[0]);
+        }
+        assert_eq!(reply, b"$\xff\xfea\n");
+    }
+
+    /// Differential test: the reactor's 4-shard routing and cross-shard
+    /// merges must answer exactly like one unsharded [`Store`] running
+    /// the same lines serially through [`CommandRef::parse`] and
+    /// [`CommandRef::execute`] — no routing, no merge.
+    ///
+    /// Per-key commands are pipelined (same key → same shard ring →
+    /// FIFO, so their results are order-deterministic even under
+    /// concurrent shard execution). Global and multi-key commands
+    /// (DBSIZE, KEYS, MGET, FLUSHALL) are issued as synchronous round
+    /// trips: the reactor only orders them relative to other shards'
+    /// work at reply boundaries, which is exactly what a synchronous
+    /// client observes.
+    #[test]
+    fn reactor_agrees_with_unsharded_reference() {
+        let pipelined: Vec<String> = {
+            let mut w = Vec::new();
+            for i in 0..30 {
+                w.push(format!("SET user:{i} value-{i}"));
+            }
+            w.push("GET user:7".into());
+            w.push("GET missing".into());
+            w.push("INCR counter".into());
+            w.push("INCRBY counter 9".into());
+            w.push("APPEND log hello world".into());
+            w.push("PEXPIRE user:1 60000".into());
+            w.push("PTTL user:1".into());
+            w.push("PERSIST user:1".into());
+            w.push("SETNX user:1 other".into());
+            w.push("DEL user:3".into());
+            w.push("EXISTS user:3".into());
+            w.push("BANANA nope".into());
+            w.push("SET incomplete".into());
+            w
+        };
+        let serial: Vec<String> = vec![
+            "MGET user:1 nope user:29".into(),
+            "DBSIZE".into(),
+            "KEYS user:2".into(),
+            "FLUSHALL".into(),
+            "DBSIZE".into(),
+        ];
+        let lines: Vec<&str> = pipelined
+            .iter()
+            .chain(serial.iter())
+            .map(String::as_str)
+            .collect();
+
+        let reference: Vec<Response> = {
+            let sma = Sma::standalone(1024);
+            let store = Store::new(&sma, "ref", Priority::new(4));
+            lines
+                .iter()
+                .map(|line| match CommandRef::parse(line) {
+                    Ok(cmd) => cmd.execute(&store),
+                    Err(msg) => Response::Error(msg),
+                })
+                .collect()
+        };
+        let reactor: Vec<Response> = {
+            let (_sma, fe) = frontend(4);
+            let mut c = TcpKvClient::connect(fe.addr()).unwrap();
+            let mut replies = c.request_pipeline(&pipelined).unwrap();
+            for line in &serial {
+                replies.push(c.request(line).unwrap());
+            }
+            replies
+        };
+        assert_eq!(reference.len(), reactor.len());
+        for (i, (want, got)) in reference.iter().zip(&reactor).enumerate() {
+            assert_eq!(want, got, "reply {i} diverged ({:?})", lines[i]);
+        }
     }
 
     #[test]

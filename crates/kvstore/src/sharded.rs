@@ -136,14 +136,6 @@ impl ShardedStore {
         Ok(ShardedStore { shards: stores })
     }
 
-    /// Wraps an existing store as a one-shard engine (exact
-    /// single-store semantics; used by [`crate::KvServer::start`]).
-    pub fn from_single(store: Store) -> Self {
-        ShardedStore {
-            shards: vec![Arc::new(store)],
-        }
-    }
-
     /// Builds an engine from pre-constructed shards — e.g. one store
     /// per *allocator* for a shard-per-core deployment where each core
     /// runs its own SMA registered with the machine daemon.
@@ -412,8 +404,8 @@ impl ShardedStore {
     /// shard worker parses and calls this directly — no channel hop.
     /// Single-key commands and `PING` run on `shard`'s store;
     /// cross-shard verbs fan out inline through the engine's merge
-    /// helpers, producing the same replies as the in-process router
-    /// ([`crate::KvHandle`]) for every command.
+    /// helpers, so data commands get the reply one unsharded [`Store`]
+    /// would give (`INFO`/`STATS` render the aggregated per-shard view).
     ///
     /// # Panics
     ///
@@ -425,7 +417,7 @@ impl ShardedStore {
             // caller routed by key, so `owner()` would be identity.
             CommandRef::Ping => cmd.execute(&self.shards[shard]),
             c if c.routing_key().is_some() => c.execute(&self.shards[shard]),
-            // Cross-shard verbs merge inline, mirroring the router.
+            // Cross-shard verbs merge inline.
             CommandRef::DbSize => Response::Int(self.dbsize() as i64),
             CommandRef::FlushAll => {
                 self.flushall();

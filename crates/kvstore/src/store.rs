@@ -112,7 +112,8 @@ struct Counters {
 /// A Redis-like keyspace whose entries live in soft memory.
 ///
 /// Thread-safe, but intended to be driven by a single command loop
-/// (like Redis); see [`crate::server`].
+/// (like Redis): the network frontend gives each shard's store one
+/// worker thread.
 ///
 /// # Examples
 ///
@@ -500,16 +501,22 @@ impl Store {
         }
     }
 
-    /// Deletes `key`; returns whether it existed (in either tier).
+    /// Deletes `key`; returns whether it existed (in either tier). A
+    /// key whose deadline has passed but which was not yet reaped did
+    /// not exist, as for [`Store::exists`].
     pub fn del(&self, key: &[u8]) -> bool {
         let _placement = self.stripe(key).lock();
-        self.expiries.lock().remove(key);
+        let lapsed = self
+            .expiries
+            .lock()
+            .remove(key)
+            .is_some_and(|deadline| deadline <= Instant::now());
         let hot = self.table.remove(&key.to_vec()).is_some();
         let cold = match &self.tier {
             Some(tier) => tier.invalidate(key),
             None => false,
         };
-        hot || cold
+        !lapsed && (hot || cold)
     }
 
     /// Whether `key` is present (hot or cold — checking the cold tier
@@ -881,6 +888,22 @@ mod tests {
         assert_eq!(s.get(b"k"), None, "lazily expired on access");
         assert_eq!(s.ttl(b"k"), Ttl::NoKey);
         assert!(!s.expire(b"missing", Duration::from_millis(5)));
+    }
+
+    #[test]
+    fn del_of_a_lapsed_key_reports_absent() {
+        let (_sma, s) = store(64);
+        s.set(b"k", b"v").unwrap();
+        assert!(s.expire(b"k", Duration::from_millis(1)));
+        std::thread::sleep(Duration::from_millis(10));
+        // Lapsed but not yet reaped: still in the table.
+        assert_eq!(s.dbsize(), 1);
+        assert!(!s.del(b"k"), "a lapsed key did not exist, as EXISTS says");
+        assert_eq!(s.dbsize(), 0);
+        // A live key with a pending deadline still counts.
+        s.set(b"k", b"v").unwrap();
+        assert!(s.expire(b"k", Duration::from_secs(60)));
+        assert!(s.del(b"k"));
     }
 
     #[test]

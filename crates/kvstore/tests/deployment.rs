@@ -175,3 +175,41 @@ fn kv_server_survives_peer_death() {
     assert!(stats.procs.len() <= 2);
     assert_eq!(stats.denials_total, 0);
 }
+
+#[test]
+fn kv_server_rejects_unknown_options_and_bad_values() {
+    for args in [
+        &["--frontend", "threads"][..],
+        &["--shards", "x"],
+        &["--budget-mib", "99999999999999999"],
+        &["--budget-mib"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_kv_server"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn kv_server");
+        // A server that accepted the arguments would start serving;
+        // give up on it rather than hang.
+        let mut status = None;
+        for _ in 0..200 {
+            status = child.try_wait().expect("wait on kv_server");
+            if status.is_some() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let Some(status) = status else {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("kv_server accepted {args:?} and kept running");
+        };
+        assert_eq!(status.code(), Some(2), "{args:?}");
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().expect("piped"), &mut stderr)
+            .expect("read stderr");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: kv_server"), "{args:?}: {stderr}");
+    }
+}

@@ -4,8 +4,7 @@
 use softmem::core::{MachineMemory, Priority, Sma, SmaConfig, PAGE_SIZE};
 use softmem::daemon::{Smd, SmdConfig, SoftProcess};
 use softmem::kv::crash::CrashModel;
-use softmem::kv::server::{KvServer, TcpFrontend, TcpKvClient};
-use softmem::kv::{Response, Store};
+use softmem::kv::{CommandRef, Response, ShardedStore, Store};
 use softmem::sds::SoftQueue;
 use softmem::sim::pressure::{run_pressure, PressureConfig};
 
@@ -107,11 +106,14 @@ fn server_keeps_serving_through_reclamation() {
             .free_pool_retain(0)
             .sds_retain(0),
     );
-    let store = Store::new(&sma, "kv", Priority::default());
-    let server = KvServer::start(store);
-    let h = server.handle();
+    let engine = ShardedStore::new(&sma, "kv", Priority::default(), 1);
+    // Every request takes the serving path's parse + execute step.
+    let request = |line: &str| engine.execute_at(0, &CommandRef::parse(line).unwrap());
     for i in 0..3000 {
-        h.set(&format!("k{i}"), "value").unwrap();
+        assert_eq!(
+            request(&format!("SET k{i} value")),
+            Response::Ok("OK".into())
+        );
     }
     // Reclaim from outside while the server is live (the daemon
     // thread's perspective).
@@ -120,25 +122,30 @@ fn server_keeps_serving_through_reclamation() {
     // The server still answers; some keys are gone, others live.
     let mut hits = 0;
     for i in 0..3000 {
-        if h.get(&format!("k{i}")).unwrap().is_some() {
-            hits += 1;
+        match request(&format!("GET k{i}")) {
+            Response::Bulk(Some(_)) => hits += 1,
+            Response::Bulk(None) => {}
+            other => panic!("GET reply: {other:?}"),
         }
     }
     assert!(hits > 0 && hits < 3000, "partial survival: {hits}");
-    assert_eq!(h.dbsize().unwrap(), hits);
-    server.shutdown();
+    assert_eq!(request("DBSIZE"), Response::Int(hits));
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_clients_observe_reclamation_as_misses() {
+    use softmem::kv::{ReactorConfig, ReactorFrontend, TcpKvClient};
+    use std::sync::Arc;
+
     let sma = Sma::with_config(
         SmaConfig::for_testing(1 << 14)
             .free_pool_retain(0)
             .sds_retain(0),
     );
-    let store = Store::new(&sma, "kv", Priority::default());
-    let server = KvServer::start(store);
-    let frontend = TcpFrontend::bind(server.handle()).unwrap();
+    let engine = ShardedStore::new(&sma, "kv", Priority::default(), 1);
+    let frontend =
+        ReactorFrontend::bind("127.0.0.1:0", Arc::new(engine), ReactorConfig::default()).unwrap();
     let mut client = TcpKvClient::connect(frontend.addr()).unwrap();
     for i in 0..2000 {
         assert_eq!(
@@ -163,7 +170,6 @@ fn tcp_clients_observe_reclamation_as_misses() {
     } else {
         panic!("INFO must return bulk");
     }
-    server.shutdown();
 }
 
 #[test]

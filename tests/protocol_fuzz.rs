@@ -1,16 +1,23 @@
 //! Protocol robustness: arbitrary client input must never crash the
 //! KV server or the unix-socket daemon — only produce error replies.
+//! The TCP cases drive the reactor frontend, the server's one network
+//! path (Linux epoll).
 
 use std::io::{BufRead, BufReader, Write};
+#[cfg(target_os = "linux")]
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
+#[cfg(target_os = "linux")]
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use softmem::core::{MachineMemory, Priority, Sma};
 use softmem::daemon::uds::UdsSmdServer;
 use softmem::daemon::{Smd, SmdConfig};
-use softmem::kv::{Command, KvServer, Response, Store, TcpFrontend};
+use softmem::kv::{CommandRef, Response, Store};
+#[cfg(target_os = "linux")]
+use softmem::kv::{ReactorConfig, ReactorFrontend, ShardedStore};
 
 /// Printable-ish junk lines (no newlines — the framing layer splits
 /// on them anyway).
@@ -31,7 +38,7 @@ proptest! {
     #[test]
     fn kv_command_parser_never_panics(line in junk_line()) {
         // Parsing junk either yields a command or a clean error.
-        let _ = Command::parse(&line);
+        let _ = CommandRef::parse(&line);
     }
 
     #[test]
@@ -39,7 +46,7 @@ proptest! {
         let sma = Sma::standalone(256);
         let store = Store::new(&sma, "fuzz", Priority::default());
         for line in &lines {
-            if let Ok(cmd) = Command::parse(line) {
+            if let Ok(cmd) = CommandRef::parse(line) {
                 // Execution must not panic, whatever was parsed.
                 let _ = cmd.execute(&store);
             }
@@ -50,23 +57,24 @@ proptest! {
     }
 }
 
-/// Starts a TCP-fronted KV server and returns a raw client stream
-/// (bypassing `TcpKvClient` so tests control framing byte by byte).
-fn raw_tcp_server() -> (Sma2, KvServer, TcpFrontend, TcpStream) {
+/// Starts a one-shard KV server behind the reactor frontend and
+/// returns a raw client stream (bypassing `TcpKvClient` so tests
+/// control framing byte by byte).
+#[cfg(target_os = "linux")]
+fn raw_tcp_server() -> (Arc<Sma>, ReactorFrontend, TcpStream) {
     let sma = Sma::standalone(512);
-    let store = Store::new(&sma, "kv", Priority::default());
-    let server = KvServer::start(store);
-    let frontend = TcpFrontend::bind(server.handle()).expect("bind");
+    let engine = ShardedStore::new(&sma, "kv", Priority::default(), 1);
+    let frontend = ReactorFrontend::bind("127.0.0.1:0", Arc::new(engine), ReactorConfig::default())
+        .expect("bind");
     let stream = TcpStream::connect(frontend.addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
-    (sma, server, frontend, stream)
+    (sma, frontend, stream)
 }
-
-type Sma2 = std::sync::Arc<Sma>;
 
 /// A scripted exchange whose per-command replies are known up front.
 /// Every reply here is a single line, so reply framing is trivial to
 /// check: one line back per command, in order.
+#[cfg(target_os = "linux")]
 fn scripted_commands(n: usize) -> (Vec<u8>, Vec<String>) {
     let mut wire = Vec::new();
     let mut expected = Vec::new();
@@ -85,9 +93,10 @@ fn scripted_commands(n: usize) -> (Vec<u8>, Vec<String>) {
     (wire, expected)
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_pipelined_frames_are_answered_in_order() {
-    let (_sma, server, _frontend, mut stream) = raw_tcp_server();
+    let (_sma, _frontend, mut stream) = raw_tcp_server();
     let (wire, expected) = scripted_commands(40);
     // The whole pipeline in one write: the server must frame on
     // newlines, not on read boundaries.
@@ -98,12 +107,12 @@ fn tcp_pipelined_frames_are_answered_in_order() {
         reader.read_line(&mut reply).expect("read reply");
         assert_eq!(reply.trim_end(), want, "reply #{i} out of order");
     }
-    server.shutdown();
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_partial_single_byte_writes_still_frame_correctly() {
-    let (_sma, server, _frontend, mut stream) = raw_tcp_server();
+    let (_sma, _frontend, mut stream) = raw_tcp_server();
     let (wire, expected) = scripted_commands(10);
     // Worst-case fragmentation: every byte is its own segment. The
     // server sees arbitrary partial reads and must reassemble lines.
@@ -120,12 +129,12 @@ fn tcp_partial_single_byte_writes_still_frame_correctly() {
         reader.read_line(&mut reply).expect("read reply");
         assert_eq!(reply.trim_end(), want, "reply #{i} mangled by split frames");
     }
-    server.shutdown();
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_half_frame_then_disconnect_does_not_wedge_the_server() {
-    let (_sma, server, frontend, mut stream) = raw_tcp_server();
+    let (_sma, frontend, mut stream) = raw_tcp_server();
     // A command with no terminating newline, then a hard disconnect:
     // the unfinished frame must be dropped, not executed or replayed.
     stream.write_all(b"SET orphan half-a-fra").expect("write");
@@ -138,7 +147,6 @@ fn tcp_half_frame_then_disconnect_does_not_wedge_the_server() {
     reader.read_line(&mut reply).expect("read");
     // …and the orphaned half-frame was never executed.
     assert_eq!(reply.trim_end(), ":0", "half frame must not execute");
-    server.shutdown();
 }
 
 proptest! {
@@ -147,12 +155,13 @@ proptest! {
     /// Any chunking of the pipelined byte stream — splits may land
     /// mid-verb, mid-key, or between frames — yields byte-identical
     /// replies in command order.
+    #[cfg(target_os = "linux")]
     #[test]
     fn tcp_replies_are_invariant_under_arbitrary_frame_splits(
         n_cmds in 4usize..24,
         cuts in proptest::collection::btree_set(1usize..300, 0..12),
     ) {
-        let (_sma, server, _frontend, mut stream) = raw_tcp_server();
+        let (_sma, _frontend, mut stream) = raw_tcp_server();
         let (wire, expected) = scripted_commands(n_cmds);
         let mut at = 0usize;
         for &cut in cuts.iter().filter(|&&c| c < wire.len()) {
@@ -167,8 +176,7 @@ proptest! {
             reader.read_line(&mut reply).expect("read reply");
             prop_assert_eq!(reply.trim_end(), want.as_str(), "reply #{} differs under split", i);
         }
-        server.shutdown();
-    }
+        }
 
     /// `Response::decode` must survive truncated multi-line (array)
     /// frames — the partial-read case one layer up.
@@ -181,7 +189,9 @@ proptest! {
         ),
         keep in 0usize..8,
     ) {
-        let full = Response::Array(items.iter().map(|s| s.as_bytes().to_vec()).collect()).encode();
+        let mut full = Vec::new();
+        Response::Array(items.iter().map(|s| s.as_bytes().to_vec()).collect()).encode_into(&mut full);
+        let full = String::from_utf8(full).expect("ascii items");
         let lines: Vec<&str> = full.lines().collect();
         let keep = keep.min(lines.len());
         let truncated = lines[..keep].join("\n");
@@ -196,13 +206,16 @@ proptest! {
 }
 
 /// Checks one STATS bulk reply line: `$` sigil, single-line JSON with
-/// the `kv` registry and a counter that proves real content.
+/// the frontend's `net` section, the `kv` registry and a counter that
+/// proves real content.
+#[cfg(target_os = "linux")]
 fn assert_stats_reply(reply: &str) {
     let line = reply.trim_end();
     assert!(
-        line.starts_with("${\"kv\":{"),
+        line.starts_with("${\"net\":{"),
         "STATS reply malformed: {line}"
     );
+    assert!(line.contains(",\"kv\":{"), "STATS missing kv: {line}");
     assert!(line.contains("\"sets\":"), "STATS missing counters: {line}");
     assert!(
         line.contains("\"op_ns\":"),
@@ -210,9 +223,10 @@ fn assert_stats_reply(reply: &str) {
     );
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_stats_replies_frame_correctly_under_byte_splits() {
-    let (_sma, server, _frontend, mut stream) = raw_tcp_server();
+    let (_sma, _frontend, mut stream) = raw_tcp_server();
     // STATS interleaved with scripted commands, the whole exchange
     // written one byte at a time — the JSON payload must come back as
     // exactly one `$` line wherever the read boundaries fall.
@@ -232,12 +246,12 @@ fn tcp_stats_replies_frame_correctly_under_byte_splits() {
     assert_stats_reply(&lines[1]);
     assert_eq!(lines[2].trim_end(), "+PONG");
     assert_stats_reply(&lines[3]);
-    server.shutdown();
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn tcp_half_stats_frame_then_disconnect_is_dropped() {
-    let (_sma, server, frontend, mut stream) = raw_tcp_server();
+    let (_sma, frontend, mut stream) = raw_tcp_server();
     // Half a STATS verb, then a hard disconnect: the orphan frame must
     // not execute or wedge the server.
     stream.write_all(b"STAT").expect("write");
@@ -248,7 +262,6 @@ fn tcp_half_stats_frame_then_disconnect_is_dropped() {
     let mut reply = String::new();
     reader.read_line(&mut reply).expect("read");
     assert_stats_reply(&reply);
-    server.shutdown();
 }
 
 proptest! {
@@ -257,12 +270,13 @@ proptest! {
     /// STATS pipelined among scripted commands under arbitrary frame
     /// splits: the scripted replies stay byte-identical and every
     /// STATS reply is a well-formed single-line JSON bulk.
+    #[cfg(target_os = "linux")]
     #[test]
     fn tcp_stats_is_invariant_under_arbitrary_frame_splits(
         n_cmds in 4usize..16,
         cuts in proptest::collection::btree_set(1usize..220, 0..10),
     ) {
-        let (_sma, server, _frontend, mut stream) = raw_tcp_server();
+        let (_sma, _frontend, mut stream) = raw_tcp_server();
         let (mut wire, expected) = scripted_commands(n_cmds);
         wire.extend_from_slice(b"STATS\n");
         let mut at = 0usize;
@@ -281,8 +295,7 @@ proptest! {
         let mut stats = String::new();
         reader.read_line(&mut stats).expect("read stats");
         assert_stats_reply(&stats);
-        server.shutdown();
-    }
+        }
 }
 
 #[test]
