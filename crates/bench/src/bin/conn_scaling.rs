@@ -287,16 +287,16 @@ mod linux {
         use std::io::{self, BufRead, BufReader, Write};
         use std::net::{SocketAddr, TcpListener, TcpStream};
         use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
         use std::sync::Arc;
         use std::thread::JoinHandle;
 
-        use crossbeam::channel::{bounded, unbounded, Sender};
         use softmem_kv::protocol::routing_key_of;
         use softmem_kv::{CommandRef, Response, ShardedStore};
 
         enum Job {
             /// A request line and the one-slot channel for its reply.
-            Exec(String, Sender<Response>),
+            Exec(String, SyncSender<Response>),
             Stop,
         }
 
@@ -323,7 +323,7 @@ mod linux {
                 let mut shards = Vec::new();
                 let mut workers = Vec::new();
                 for shard in 0..engine.shard_count() {
-                    let (tx, rx) = unbounded::<Job>();
+                    let (tx, rx) = channel::<Job>();
                     let engine = Arc::clone(&engine);
                     workers.push(std::thread::spawn(move || {
                         while let Ok(Job::Exec(line, reply)) = rx.recv() {
@@ -395,7 +395,7 @@ mod linux {
                 let reply = match routing_key_of(frame.as_bytes()) {
                     Some(key) => {
                         let shard = shared.engine.shard_of(key);
-                        let (tx, rx) = bounded(1);
+                        let (tx, rx) = sync_channel(1);
                         let job = Job::Exec(std::mem::take(&mut line), tx);
                         if shared.shards[shard].send(job).is_err() {
                             return;

@@ -15,18 +15,18 @@
 //!   over-reclamation percentage) and a decision log.
 //! * [`policy`] — pluggable reclamation-weight policies, including the
 //!   paper's incentive-preserving weight and ablation alternatives.
-//! * [`SoftProcess`] — the client runtime: glues one process's
-//!   [`Sma`](softmem_core::Sma) to the daemon (registration, budget
-//!   growth on allocation, servicing reclamation demands).
-//! * [`service`] — a threaded deployment mode: the SMD behind a message
-//!   channel with one event-loop thread, as a real daemon would run.
-//! * [`uds`] — a unix-domain-socket deployment: genuinely separate
+//! * [`SoftProcess`] — the in-process client runtime: glues one
+//!   process's [`Sma`](softmem_core::Sma) to an [`Smd`] by direct calls
+//!   (registration, budget growth on allocation, servicing reclamation
+//!   demands).
+//! * [`uds`] — the unix-domain-socket deployment: genuinely separate
 //!   processes (own SMAs, own address spaces) registering, requesting
 //!   budget and servicing reclamation demands over the socket.
 //!
-//! In this reproduction "processes" are threads sharing one address
-//! space; the protocol, accounting, and every policy decision are
-//! identical to the multi-process deployment the paper describes (see
+//! These are the daemon's two deployments. In-process, "processes" are
+//! threads sharing one address space, which keeps tests and
+//! simulations deterministic; the accounting and every policy decision
+//! are the same [`Smd`] code the socket deployment serves (see
 //! DESIGN.md §2 for the substitution argument).
 //!
 //! # Examples
@@ -61,12 +61,11 @@ mod account;
 mod client;
 mod metrics;
 pub mod policy;
-pub mod service;
 mod smd;
 pub mod uds;
 
 pub use account::{DirectChannel, ProcSnapshot, ProcUsage, ReclaimChannel, ReclaimReply};
-pub use client::{DaemonHandle, SoftProcess};
+pub use client::SoftProcess;
 pub use metrics::SmdMetrics;
 pub use policy::WeightPolicy;
 pub use smd::{Pid, ReclaimDecision, Smd, SmdConfig, SmdHook, SmdStats, TargetOutcome};

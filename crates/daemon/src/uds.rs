@@ -81,11 +81,11 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use softmem_core::budget::Grant;
@@ -100,10 +100,6 @@ use crate::smd::{Pid, Smd};
 /// treating it as yielding nothing (a hung process must not wedge the
 /// machine).
 const DEMAND_TIMEOUT: Duration = Duration::from_secs(10);
-
-fn uds_debug() -> bool {
-    std::env::var_os("SOFTMEM_UDS_DEBUG").is_some()
-}
 
 // ---------------------------------------------------------------------
 // Daemon side
@@ -121,7 +117,7 @@ struct RemoteChannel {
     /// round that is awaiting this very connection's `YIELD`.
     last_seen: Mutex<Instant>,
     /// In-flight demands awaiting a `YIELD`.
-    pending: Mutex<HashMap<u64, Sender<usize>>>,
+    pending: Mutex<HashMap<u64, SyncSender<usize>>>,
     next_req: AtomicU64,
     /// Set when the client hangs up: demands resolve to zero
     /// immediately instead of riding out the timeout (deregistration
@@ -172,9 +168,6 @@ impl RemoteChannel {
     }
 
     fn deliver_yield(&self, req_id: u64, pages: usize) {
-        if uds_debug() {
-            eprintln!("[daemon] yield {req_id} pages={pages} ch={:p}", self);
-        }
         if let Some(tx) = self.pending.lock().remove(&req_id) {
             let _ = tx.send(pages);
         }
@@ -209,10 +202,7 @@ impl ReclaimChannel for RemoteChannel {
             };
         }
         let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-        if uds_debug() {
-            eprintln!("[daemon] demand {req_id} pages={pages} ch={:p}", self);
-        }
-        let (tx, rx): (Sender<usize>, Receiver<usize>) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.pending.lock().insert(req_id, tx);
         if self.send_line(&format!("DEMAND {req_id} {pages}")).is_err() {
             self.pending.lock().remove(&req_id);
@@ -223,9 +213,6 @@ impl ReclaimChannel for RemoteChannel {
         }
         let yielded = rx.recv_timeout(DEMAND_TIMEOUT).unwrap_or_else(|_| {
             self.pending.lock().remove(&req_id);
-            if uds_debug() {
-                eprintln!("[daemon] demand {req_id} TIMED OUT");
-            }
             0
         });
         ReclaimReply {
@@ -404,9 +391,6 @@ fn serve_connection(smd: Arc<Smd>, stream: UnixStream) {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     while read_complete_line(&mut reader, &mut line) {
-        if uds_debug() {
-            eprintln!("[daemon] rx ch={:p}: {line}", &*channel);
-        }
         channel.touch();
         let mut parts = line.split_whitespace();
         let verb = parts.next().unwrap_or("");
@@ -733,7 +717,8 @@ enum Reply {
     Deny(DenyReason),
     Registered(Pid, usize, u64),
     Ok(usize),
-    Err(String),
+    /// `ERR`, or a `STATS` reply (the client never asks for one).
+    Err,
 }
 
 impl Reply {
@@ -759,7 +744,7 @@ struct Conn {
 
 struct WaitSlot {
     id: u64,
-    tx: Sender<Reply>,
+    tx: SyncSender<Reply>,
 }
 
 struct ClientShared {
@@ -788,8 +773,9 @@ struct ClientShared {
     next_gen: AtomicU64,
     degraded_since: Mutex<Option<Instant>>,
     readers: Mutex<Vec<JoinHandle<()>>>,
-    /// Wakes the supervisor after a disconnect (bounded(1): coalesced).
-    wake_tx: Sender<()>,
+    /// Wakes the supervisor after a disconnect (one slot, `try_send`:
+    /// wakes coalesce).
+    wake_tx: SyncSender<()>,
     metrics: UdsClientMetrics,
 }
 
@@ -840,7 +826,7 @@ impl ClientShared {
             return Err(self.unreachable_err());
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         *self.waiting.lock() = Some(WaitSlot { id, tx });
         if Self::write_to(&writer, &build(id)).is_err() {
             self.clear_slot(id);
@@ -943,7 +929,7 @@ impl UdsProcess {
         cfg.initial_budget_pages = 0;
         let orphan_floor = cfg.orphan_budget_pages;
         let sma = Sma::with_config(cfg);
-        let (wake_tx, wake_rx) = bounded(1);
+        let (wake_tx, wake_rx) = sync_channel(1);
         let shared = Arc::new(ClientShared {
             sma,
             name: name.to_string(),
@@ -1059,13 +1045,7 @@ impl UdsProcess {
             Reply::Grant(pages) => Ok(pages),
             Reply::Deny(DenyReason::StaleEpoch) => Err(self.shared.stale_epoch()),
             Reply::Deny(reason) => Err(SoftError::Denied { reason }),
-            Reply::Err(msg) => {
-                if uds_debug() {
-                    eprintln!("[client] daemon error reply: {msg}");
-                }
-                Err(self.shared.unreachable_err())
-            }
-            Reply::Registered(..) | Reply::Ok(_) => Err(self.shared.unreachable_err()),
+            Reply::Err | Reply::Registered(..) | Reply::Ok(_) => Err(self.shared.unreachable_err()),
         }
     }
 
@@ -1314,9 +1294,6 @@ fn client_reader(shared: Arc<ClientShared>, stream: UnixStream, gen: u64) {
                 }
             }
             "DEMAND" => {
-                if uds_debug() {
-                    eprintln!("[client] got DEMAND {args:?}");
-                }
                 let (Some(req_id), Some(pages)) = (
                     args.first().and_then(|v| v.parse::<u64>().ok()),
                     args.get(1).and_then(|v| v.parse::<usize>().ok()),
@@ -1369,7 +1346,7 @@ fn client_reader(shared: Arc<ClientShared>, stream: UnixStream, gen: u64) {
                     "OK" => Some(Reply::Ok(
                         body.first().and_then(|v| v.parse().ok()).unwrap_or(0),
                     )),
-                    "ERR" | "STATS" => Some(Reply::Err(body.join(" "))),
+                    "ERR" | "STATS" => Some(Reply::Err),
                     _ => None,
                 };
                 let Some(reply) = reply else { continue };
@@ -1472,6 +1449,14 @@ mod tests {
             p.sma().alloc_bytes(sds, 4096).expect("daemon grows budget");
         }
         assert!(p.sma().budget_pages() >= 32);
+    }
+
+    #[test]
+    fn connect_without_a_listener_reports_daemon_unavailable() {
+        let path = socket_path("absent");
+        let _ = std::fs::remove_file(&path);
+        let res = UdsProcess::connect(&path, "orphan", SmaConfig::for_testing(0));
+        assert_eq!(res.err(), Some(SoftError::DaemonUnavailable));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! under machine-wide memory pressure.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use softmem::core::{MachineMemory, Priority, SmaConfig, SoftError, PAGE_SIZE};
 use softmem::daemon::policy::PaperWeight;
-use softmem::daemon::service::SmdService;
-use softmem::daemon::{Smd, SmdConfig, SoftProcess};
+use softmem::daemon::{Smd, SmdConfig, SoftProcess, UdsProcess, UdsSmdServer};
 use softmem::sds::{SoftHashMap, SoftLinkedList, SoftQueue};
 
 fn setup(capacity_pages: usize) -> (Arc<MachineMemory>, Arc<Smd>) {
@@ -153,6 +153,9 @@ fn denied_processes_fail_gracefully_not_fatally() {
     assert_eq!(q.pop(), Some(7));
 }
 
+/// The daemon served over its unix socket (separate client runtimes,
+/// demands and grants as protocol lines) moves memory the way the
+/// in-process daemon does.
 #[test]
 fn threaded_service_behaves_like_in_process_daemon() {
     let machine = MachineMemory::new(1024);
@@ -160,14 +163,10 @@ fn threaded_service_behaves_like_in_process_daemon() {
         SmdConfig::new(&machine, 128).initial_budget(0),
         Box::new(PaperWeight),
     );
-    let service = SmdService::start_with(Arc::clone(&smd));
+    let socket = std::env::temp_dir().join(format!("softmem-pressure-{}.sock", std::process::id()));
+    let server = UdsSmdServer::bind(Arc::clone(&smd), &socket).expect("bind socket");
     let mk = |name: &str| {
-        SoftProcess::spawn_with(
-            Arc::new(service.client()),
-            name,
-            SmaConfig::new(Arc::clone(&machine), 0),
-        )
-        .unwrap()
+        UdsProcess::connect(&socket, name, SmaConfig::new(Arc::clone(&machine), 0)).unwrap()
     };
     let a = mk("a");
     let b = mk("b");
@@ -185,8 +184,14 @@ fn threaded_service_behaves_like_in_process_daemon() {
     drop(qb);
     drop(a);
     drop(b);
+    // Deregistration lands when the daemon's connection reader sees
+    // the BYE, which may trail the client's drop.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while smd.stats().assigned_pages != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     assert_eq!(smd.stats().assigned_pages, 0);
-    service.shutdown();
+    drop(server);
 }
 
 #[test]
